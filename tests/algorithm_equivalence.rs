@@ -27,14 +27,20 @@
 //! checked under every backend. A dedicated property additionally pins the
 //! whole RDT engine — filter cursor, tiled witness pass, refinement — on
 //! the sequential scan's SIMD tile fast path against its per-point
-//! fallback.
+//! fallback, and a differential property pins the engine against a
+//! literal row-by-row Algorithm 1 (full distance on every witness pair, a
+//! lazy-accept sweep over the whole filter set) on every substrate,
+//! variant and scale schedule.
 
 use proptest::prelude::*;
 use rknn::baselines::{MrknncopAlgorithm, NaiveRknn, RdnnAlgorithm, Sft, TplAlgorithm};
-use rknn::core::{Dataset, Euclidean, Metric, Neighbor, SearchStats};
-use rknn::index::{DynamicIndex, KnnIndex, LinearScan};
+use rknn::core::{
+    CursorScratch, Dataset, Euclidean, Metric, Neighbor, PointId, QueryScratch, SearchStats,
+};
+use rknn::index::{CoverTree, DynamicIndex, KnnIndex, LinearScan, VpTree};
 use rknn::rdt::algorithm::{run_algorithm_batch, AlgorithmAnswer, RdtAlgorithm, RknnAlgorithm};
-use rknn::rdt::RdtParams;
+use rknn::rdt::engine::run_query_full;
+use rknn::rdt::{RdtParams, RdtQueryStats, RdtVariant, RknnAnswer, TSchedule, Termination};
 use std::sync::Arc;
 
 /// Builds a dataset on the half-integer grid `{0, 0.5, …, 4}` from raw
@@ -114,6 +120,208 @@ where
         prop_assert_eq!(out.stats.search, work, "{} threads={}", label, threads);
     }
     reference
+}
+
+/// One filter-set member of the literal reference: `(id, d(q,·), W, accepted)`.
+struct LiteralMember {
+    id: PointId,
+    dist: f64,
+    witnesses: usize,
+    accepted: bool,
+}
+
+/// Algorithm 1 read literally, as the differential reference for the
+/// engine: the same cursor stream, termination tests and refinement, but a
+/// witness pass that evaluates the full [`Metric::dist`] of every pair row
+/// by row, increments both witness counters by the definition (no pruning,
+/// no skipping), and then sweeps the whole filter set for lazy accepts
+/// (Assertion 2). `witness_pairs` adds `|F|` per retrieval (the paper's
+/// `(s choose 2)` model) and `witness_dist_comps` counts the pairs whose
+/// distance can still change a decision: `x` open (not accepted, `W(x) <
+/// k`) or `W(v) < k` at the time the pair is reached.
+fn literal_rdt<M, I>(
+    index: &I,
+    q: &[f64],
+    exclude: Option<PointId>,
+    params: RdtParams,
+    variant: RdtVariant,
+    schedule: TSchedule,
+) -> RknnAnswer
+where
+    M: Metric,
+    I: KnnIndex<M> + ?Sized,
+{
+    let k = params.k;
+    let metric = index.metric();
+    let n = index.num_points() - usize::from(exclude.is_some());
+    let mut t = params.t;
+    let mut cap = params.rank_cap(n);
+    let mut scratch = CursorScratch::new();
+    let mut cursor = match schedule {
+        TSchedule::Fixed => index.cursor_bounded(q, exclude, cap, &mut scratch),
+        TSchedule::Adaptive { .. } => index.cursor_with(q, exclude, &mut scratch),
+    };
+    let mut test_armed = matches!(schedule, TSchedule::Fixed);
+    let (mut sum_ln_d, mut pos_count) = (0.0f64, 0usize);
+    let mut filter: Vec<LiteralMember> = Vec::new();
+    let (mut s, mut excluded, mut lazy_accepts) = (0usize, 0usize, 0usize);
+    let (mut witness_pairs, mut witness_dist_comps) = (0u64, 0u64);
+    let mut omega = f64::INFINITY;
+    let mut termination = Termination::Exhausted;
+    while let Some(v) = cursor.next() {
+        s += 1;
+        if let TSchedule::Adaptive { safety } = schedule {
+            if v.dist > 0.0 {
+                sum_ln_d += v.dist.ln();
+                pos_count += 1;
+            }
+            if pos_count >= k.max(8) {
+                let denom = pos_count as f64 * v.dist.ln() - sum_ln_d;
+                if denom > 0.0 {
+                    let new_t = (safety * (pos_count as f64 / denom)).max(params.t);
+                    if new_t.is_finite() && new_t > 0.0 {
+                        t = new_t;
+                        cap = RdtParams::new(k, t).rank_cap(n);
+                        test_armed = true;
+                    }
+                }
+            }
+        }
+        let mut w_v = 0usize;
+        if variant != RdtVariant::NoWitness {
+            witness_pairs += filter.len() as u64;
+            for x in filter.iter_mut() {
+                if (!x.accepted && x.witnesses < k) || w_v < k {
+                    witness_dist_comps += 1;
+                }
+                let d_vx = metric.dist(index.point(v.id), index.point(x.id));
+                if d_vx < x.dist {
+                    x.witnesses += 1;
+                }
+                if d_vx < v.dist {
+                    w_v += 1;
+                }
+            }
+            for x in filter.iter_mut() {
+                if !x.accepted && x.witnesses < k && v.dist >= 2.0 * x.dist {
+                    x.accepted = true;
+                    lazy_accepts += 1;
+                }
+            }
+        }
+        if variant == RdtVariant::Plus && w_v >= k {
+            excluded += 1;
+        } else {
+            filter.push(LiteralMember {
+                id: v.id,
+                dist: v.dist,
+                witnesses: w_v,
+                accepted: false,
+            });
+        }
+        if test_armed && s > k && v.dist > 0.0 {
+            let denom = (s as f64 / k as f64).powf(1.0 / t) - 1.0;
+            if denom > 0.0 {
+                omega = omega.min(v.dist / denom);
+            }
+        }
+        if v.dist > omega {
+            termination = Termination::Omega;
+            break;
+        }
+        if test_armed && s >= cap {
+            termination = if s >= n {
+                Termination::Exhausted
+            } else {
+                Termination::RankCap
+            };
+            break;
+        }
+    }
+    let mut search = cursor.stats();
+    drop(cursor);
+
+    let mut result = Vec::new();
+    let (mut lazy_rejects, mut verified, mut verified_accepted) = (0usize, 0usize, 0usize);
+    for x in &filter {
+        if x.accepted {
+            result.push(Neighbor::new(x.id, x.dist));
+        } else if x.witnesses >= k {
+            lazy_rejects += 1;
+        } else {
+            verified += 1;
+            let mut fwd = index.cursor_bounded(index.point(x.id), Some(x.id), k, &mut scratch);
+            let mut dk = f64::INFINITY;
+            for _ in 0..k {
+                match fwd.next() {
+                    Some(nb) => dk = nb.dist,
+                    None => {
+                        dk = f64::INFINITY;
+                        break;
+                    }
+                }
+            }
+            search.absorb(&fwd.stats());
+            if dk >= x.dist {
+                verified_accepted += 1;
+                result.push(Neighbor::new(x.id, x.dist));
+            }
+        }
+    }
+    rknn::core::neighbor::sort_neighbors(&mut result);
+    RknnAnswer {
+        result,
+        stats: RdtQueryStats {
+            retrieved: s,
+            filter_set_size: filter.len(),
+            excluded,
+            lazy_accepts,
+            lazy_rejects,
+            verified,
+            verified_accepted,
+            witness_pairs,
+            witness_dist_comps,
+            omega,
+            termination,
+            search,
+        },
+    }
+}
+
+/// Runs the engine (one reused scratch, no `d_k` cache) and the literal
+/// reference from every point of `index` and from one external location,
+/// under every variant and both scale schedules, demanding equal ids,
+/// equal distance bits and equal whole [`RdtQueryStats`].
+fn assert_engine_matches_literal<I>(index: &I, params: RdtParams, safety: f64, label: &str)
+where
+    I: KnnIndex<Euclidean>,
+{
+    let mut scratch = QueryScratch::new(index.dim());
+    let external: Vec<f64> = vec![1.25; index.dim()];
+    let mut queries: Vec<(Vec<f64>, Option<PointId>)> = (0..index.num_points())
+        .map(|q| (index.point(q).to_vec(), Some(q)))
+        .collect();
+    queries.push((external, None));
+    for variant in [RdtVariant::Plain, RdtVariant::Plus, RdtVariant::NoWitness] {
+        for schedule in [TSchedule::Fixed, TSchedule::Adaptive { safety }] {
+            for (qp, exclude) in &queries {
+                let what = format!("{label} {variant:?} {schedule:?} q={exclude:?}");
+                let got = run_query_full(
+                    index,
+                    qp,
+                    *exclude,
+                    params,
+                    variant,
+                    schedule,
+                    &mut scratch,
+                    None,
+                );
+                let want = literal_rdt(index, qp, *exclude, params, variant, schedule);
+                assert_identical(&got.result, &want.result, &what);
+                prop_assert_eq!(got.stats, want.stats, "{}: stats diverged", what);
+            }
+        }
+    }
 }
 
 proptest! {
@@ -276,5 +484,35 @@ proptest! {
             assert_identical(x.neighbors(), y.neighbors(), &format!("q={q}"));
             prop_assert_eq!(x.stats, y.stats, "per-query stats diverged at q={}", q);
         }
+    }
+
+    /// The engine against the literal Algorithm 1 reference on the
+    /// tie-heavy grid plus a pile of zero-distance duplicates, over the
+    /// scan, cover tree and vp-tree: identical answers (ids and distance
+    /// bits) and identical whole per-query statistics. Dimensions up to 19
+    /// make witness-pass evaluations cross the kernel's 8-coordinate
+    /// abandonment cadence.
+    #[test]
+    fn rdt_engine_matches_literal_algorithm_one(
+        (dim, levels) in (1usize..20).prop_flat_map(|dim| {
+            (Just(dim), proptest::collection::vec(0u8..9, dim * 16..dim * 48))
+        }),
+        pile in 0usize..7,
+        k in 1usize..5,
+        t in 1.0f64..5.0,
+        safety in 1.0f64..3.0,
+    ) {
+        let grid = grid_dataset(&levels, dim);
+        let mut rows: Vec<Vec<f64>> = (0..grid.len()).map(|i| grid.point(i).to_vec()).collect();
+        let dup = rows[0].clone();
+        rows.extend(std::iter::repeat_n(dup, pile));
+        let ds = Dataset::from_rows(&rows).expect("grid rows").into_shared();
+        let params = RdtParams::new(k, t);
+        let scan = LinearScan::build(ds.clone(), Euclidean);
+        assert_engine_matches_literal(&scan, params, safety, "scan");
+        let cover = CoverTree::build(ds.clone(), Euclidean);
+        assert_engine_matches_literal(&cover, params, safety, "cover");
+        let vp = VpTree::build(ds, Euclidean);
+        assert_engine_matches_literal(&vp, params, safety, "vp");
     }
 }
