@@ -8,8 +8,7 @@
 //! every observed distance — yielding *conservative* lower/upper bounds
 //! `lb_p(k) ≤ d_k(p) ≤ ub_p(k)` for all supported `k` (the original paper
 //! computes the optimal such lines via convex hulls; the shifted
-//! least-squares lines are marginally looser but equally sound, see
-//! `DESIGN.md` §4).
+//! least-squares lines are marginally looser but equally sound).
 //!
 //! Queries traverse an M-tree whose nodes aggregate subtree-maximum upper
 //! line coefficients: a subtree is pruned when even its most generous upper

@@ -11,7 +11,7 @@
 //! * a **node** is pruned when, for `k` candidates `c`,
 //!   `maxdist(N, c) < mindist(N, q)` — the conservative min/max-distance
 //!   variant of bisector trimming used by the incremental extensions of TPL
-//!   (\[30\]; see `DESIGN.md` §4 for the substitution note).
+//!   (\[30\]).
 //!
 //! Surviving candidates are verified exactly with count range queries. The
 //! method needs no precomputation beyond the R-tree itself — the cheapest

@@ -1,5 +1,4 @@
-//! Ablation benchmarks for the design choices called out in `DESIGN.md`:
-//! witness machinery on/off, RDT vs RDT+ filter cost, cover-tree base, and
+//! Ablation benchmarks for the engine's design choices: witness machinery on/off, RDT vs RDT+ filter cost, cover-tree base, and
 //! M-tree node capacity.
 
 use criterion::{criterion_group, criterion_main, Criterion};

@@ -4,7 +4,7 @@
 //!   `ρ(v, x)`, the forward rank satisfies `ρ(x, v) ≤ 2^t · ρ(v, x)` once
 //!   `t ≥ MaxGED`;
 //! * **Theorem 1**: running RDT at `t ≥ MaxGED(S, k)` (+0.5 margin for the
-//!   rank-convention offset, `DESIGN.md` §2) yields exact results; below
+//!   rank-convention offset, README `## Conventions`) yields exact results; below
 //!   the threshold, every *miss* lies beyond the guarantee radius
 //!   `d_{k+1}(q) / ((s/k)^{1/t} − 1)`.
 

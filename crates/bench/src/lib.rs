@@ -1,8 +1,28 @@
 //! Shared plumbing for the experiment harness binaries.
 //!
-//! Every binary regenerates one paper table/figure (see `DESIGN.md` §5 for
-//! the index) and accepts environment-variable overrides so the same code
-//! scales from smoke test to full run:
+//! Every binary regenerates one paper table or figure, or records one
+//! engineering measurement:
+//!
+//! * `table1` — Table 1, intrinsic-dimensionality estimates;
+//! * `fig3_sequoia`, `fig4_aloi`, `fig5_fct`, `fig6_mnist` — Figures 3–6,
+//!   recall/query-time tradeoffs per dataset;
+//! * `fig7_lazy` — Figure 7, lazy accepts, lazy rejects and verifications
+//!   as a function of `t`;
+//! * `fig8_imagenet` — Figure 8, RDT+ against the exact methods;
+//! * `fig9_amortization` — Figure 9, queries answered within the RdNN-Tree's
+//!   precomputation time;
+//! * `theory_check` — the §5 analysis (Lemma 1, Theorem 1) on random
+//!   workloads;
+//! * `hubness` — reverse-neighbor count skew against dimensionality;
+//! * `ablation_witness` — what the witness machinery, the RDT+ exclusion
+//!   and the adaptive schedule each buy;
+//! * `substrate_sweep` — the all-points workload on every forward substrate;
+//! * `perf_snapshot`, `serving_snapshot` — `BENCH_rdt.json` and
+//!   `BENCH_serving.json`;
+//! * `run_all` — every table and figure harness in sequence.
+//!
+//! Each accepts environment-variable overrides so the same code scales
+//! from smoke test to full run:
 //!
 //! * `RKNN_SCALE` — multiplies all dataset sizes (default 1.0; the
 //!   defaults are laptop-scaled versions of the paper's workloads with the

@@ -2,7 +2,7 @@
 //!
 //! These O(n)–O(n²) scans are the ground truth every index structure and
 //! every approximation algorithm in the workspace is validated against. The
-//! reverse-kNN definition follows `DESIGN.md` §2: `x ∈ RkNN(q, k)` iff
+//! reverse-kNN definition follows the crate's `# Conventions`: `x ∈ RkNN(q, k)` iff
 //! `x ≠ q` and `d(x, q) ≤ d_k(x)`, where `d_k(x)` is the k-th smallest
 //! distance from `x` to the other points of `S` — the Korn–Muthukrishnan
 //! characterization restated at the start of §2 of the paper.

@@ -37,8 +37,9 @@
 //! All rank-like quantities are **self-excluding**: `d_k(x)` is the distance
 //! from `x` to its k-th nearest *other* point, and `x ∈ RkNN(q, k)` iff
 //! `x ≠ q` and `d(x, q) ≤ d_k(x)`. Ties are assigned the maximum rank, as in
-//! §3.1 of the paper. See `DESIGN.md` §2 for the full rationale (including
-//! the witness-counter erratum in the paper's Algorithm 1 listing).
+//! §3.1 of the paper. The README's `## Conventions` restates this; the
+//! witness-counter erratum in the paper's Algorithm 1 listing is documented
+//! in the `rknn-rdt` engine module.
 
 #![warn(missing_docs)]
 

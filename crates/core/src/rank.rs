@@ -3,7 +3,7 @@
 //! * `ball_count(S, q, r)` is `|B≤_S(q, r)|` restricted to points other than
 //!   the query itself;
 //! * `rank(S, q, x)` is `ρ_S(q, x)` under the self-excluding, maximum-rank
-//!   tie convention of `DESIGN.md` §2;
+//!   tie convention of the crate's `# Conventions`;
 //! * `dk(S, x, k)` is the distance from `x` to its k-th nearest *other*
 //!   point.
 //!

@@ -17,7 +17,9 @@
 //!   ([`crate::Metric::dist_tile`]) over contiguous cache-local memory
 //!   instead of chasing ids back into the index;
 //! * a [`TileEvalScratch`] — the padded query, bounds, and output buffers
-//!   one tile evaluation needs.
+//!   one tile evaluation needs;
+//! * the witness pass's open-member list — the filter indices whose
+//!   witness census is still undecided.
 
 use crate::bestfirst::BestFirst;
 use crate::kernel;
@@ -295,18 +297,25 @@ impl CandidateTile {
 ///
 /// The buffers are independent fields so the engine can borrow them
 /// simultaneously (the cursor holds `cursor` while the witness pass mutates
-/// `filter` and streams `wtile` output blocks over `tile`).
+/// `filter`, streams `wtile` output blocks over `tile` and compacts
+/// `open`).
 #[derive(Debug, Clone)]
 pub struct QueryScratch {
     /// Storage for the index cursor.
     pub cursor: CursorScratch,
-    /// The filter set's bookkeeping slots.
+    /// The filter set's bookkeeping slots, in retrieval order (ascending
+    /// distance from the query).
     pub filter: Vec<FilterCandidate>,
     /// The filter set's coordinates, row-aligned with `filter`.
     pub tile: CandidateTile,
-    /// Tile-evaluation buffers for the witness pass (padded candidate
-    /// point, per-block bounds and outputs).
+    /// Tile-evaluation buffers for the witness pass: the padded retrieved
+    /// point, and the bounds and outputs of the block of filter rows the
+    /// pass evaluates while that point still needs witnesses.
     pub wtile: TileEvalScratch,
+    /// Ascending indices into `filter` of the *open* members — not lazily
+    /// accepted and fewer than `k` witnesses — the only ones whose census
+    /// a retrieval can still change once its own census is complete.
+    pub open: Vec<u32>,
 }
 
 impl QueryScratch {
@@ -317,6 +326,7 @@ impl QueryScratch {
             filter: Vec::new(),
             tile: CandidateTile::new(dim),
             wtile: TileEvalScratch::new(),
+            open: Vec::new(),
         }
     }
 }
@@ -407,6 +417,7 @@ mod tests {
             filter,
             tile,
             wtile,
+            open,
         } = &mut s;
         cursor.entries.push(Neighbor::new(0, 1.0));
         filter.push(FilterCandidate {
@@ -417,9 +428,11 @@ mod tests {
         });
         tile.push(&[0.5, 0.5]);
         wtile.set_query(&[0.5, 0.5]);
+        open.push(0);
         assert_eq!(s.cursor.entries.len(), 1);
         assert_eq!(s.filter.len(), 1);
         assert_eq!(s.tile.len(), 1);
         assert_eq!(s.wtile.qpad.len(), 4);
+        assert_eq!(s.open, [0]);
     }
 }

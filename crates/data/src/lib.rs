@@ -9,7 +9,8 @@
 //! reproduce that structure — low-dimensional (optionally curved) manifolds
 //! embedded in the right ambient dimension with calibrated noise — and the
 //! crate's tests verify the Table 1 signatures with the estimators from
-//! `rknn-lid`. See `DESIGN.md` §4 for the substitution table.
+//! `rknn-lid`. The [`paperlike`] module docs hold the substitution table:
+//! each paper dataset, its Table 1 targets and the structure reproduced.
 //!
 //! [`generic`] provides the building blocks (uniform cubes, Gaussian
 //! mixtures, embedded manifolds) used by unit and property tests across the

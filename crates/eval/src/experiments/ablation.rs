@@ -1,5 +1,5 @@
 //! Ablation: what the witness machinery and the RDT+ exclusion actually
-//! buy (§4.1/§4.3/§8.2 — the design choices `DESIGN.md` calls out).
+//! buy (§4.1/§4.3/§8.2 of the paper).
 //!
 //! Runs the same queries through three engine variants — plain RDT, RDT+,
 //! and RDT with witness maintenance disabled (every surviving candidate is

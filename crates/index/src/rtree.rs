@@ -3,7 +3,7 @@
 //!
 //! This is the substrate of the RdNN-Tree and TPL baselines. The paper's
 //! baselines use the R\*-tree; we substitute STR bulk loading plus quadratic
-//! splits (see `DESIGN.md` §4) — the query-side behavior the experiments
+//! splits — the query-side behavior the experiments
 //! measure (mindist/maxdist pruning and its collapse in high dimensions
 //! \[47\]) is identical in shape. Split and subtree-choice decisions use the
 //! *margin* (sum of side lengths) instead of volume, which degenerates

@@ -21,7 +21,8 @@ pub trait NnCursor {
 /// `knn`, `range` and `range_count` have default implementations in terms of
 /// the incremental cursor; substrates override them where a direct traversal
 /// is cheaper. The `exclude` parameter implements the self-excluding
-/// convention of `DESIGN.md` §2 for queries located at dataset points.
+/// convention (README `## Conventions`) for queries located at dataset
+/// points.
 ///
 /// # Choosing a cursor entry point
 ///

@@ -20,7 +20,8 @@
 //! contradicts the paper's own definition `W(x) = |{y ∈ F : d(x,y) <
 //! d(x,q)}|` (and would break Assertions 1–2). We implement the definition:
 //! `d(v,x) < d(q,x)` makes `v` a witness *of x*, and `d(v,x) < d(q,v)` makes
-//! `x` a witness *of v*. See `DESIGN.md` §2.
+//! `x` a witness *of v*. The README's `## Conventions` records the same
+//! reading.
 //!
 //! **Rank under ties.** The listing sets `s ← ρ_S(q, v)`, which assigns the
 //! maximum rank to distance ties; a cursor cannot look ahead, so we use the
@@ -35,9 +36,14 @@ use rknn_core::{
 };
 use rknn_index::KnnIndex;
 
-/// Rows per witness-pass tile block: large enough to amortize the
-/// per-block dispatch and bound transform, small enough to bound the
-/// overshoot when `w_v` crosses `k` inside a fetched block.
+/// The largest witness-pass tile block, in filter rows. While a retrieved
+/// point still needs witnesses the pass streams filter rows through
+/// [`Metric::dist_tile`] in blocks of `WITNESS_TILE / 4`, then twice that,
+/// then `WITNESS_TILE` rows each: the census of `v` usually completes
+/// within the first few rows, so small first blocks bound the rows
+/// evaluated past that crossing, and later blocks grow to amortize the
+/// per-block dispatch and bound transform. Also the retrieval cadence of
+/// the filter phase's cancellation checkpoint.
 const WITNESS_TILE: usize = 32;
 
 /// The verification threshold `d_k(v)`: the distance from `v` to its k-th
@@ -358,14 +364,18 @@ impl DkCache {
 /// [`run_query_scheduled`] — reuse changes where buffers live, never what
 /// is computed.
 ///
-/// The witness pass prunes its metric evaluations with
-/// [`Metric::dist_lt`]: a pair's distance accumulation is abandoned as soon
-/// as it provably exceeds every comparison radius still undecided for that
-/// pair (`d(q, v)` while `v` needs witnesses — the larger of the two radii,
-/// since the cursor yields `d(q, x) <= d(q, v)` — and `d(q, x)` once only
-/// `x`'s census is open). Abandonment affects neither `witness_pairs` nor
-/// `witness_dist_comps`: an abandoned evaluation still counts as one
-/// distance computation, it just touches fewer coordinates.
+/// The witness pass costs what it evaluates, not `|F|` per retrieval. A
+/// retrieved point `v` streams filter rows through [`Metric::dist_tile`]
+/// at radius `d(q, v)` — the larger of each pair's two radii, since the
+/// cursor yields `d(q, x) <= d(q, v)` — only until its own census reaches
+/// `k`; after that it visits only the members whose census is still open,
+/// through [`Metric::dist_lt`] at radius `d(q, x)`, and lazy accepts
+/// advance a monotone frontier over the distance-sorted filter set. Each
+/// evaluation abandons its accumulation once it provably exceeds the
+/// radius. `witness_pairs` still adds `|F|` per retrieval (the paper's
+/// `(s choose 2)` cost model, not a count of loop iterations) and
+/// `witness_dist_comps` counts the pairs evaluated — exactly those with
+/// `x` open or `W(v) < k` — an abandoned evaluation counting as one.
 ///
 /// The witness pass, like the traversal feeding it, evaluates every pair
 /// through the one metric instance, so it runs in whatever kernel tier
@@ -478,9 +488,18 @@ where
         filter,
         tile,
         wtile,
+        open,
     } = scratch;
     filter.clear();
+    open.clear();
     tile.reset(index.dim().max(1));
+    wtile
+        .bounds
+        .resize(wtile.bounds.len().max(WITNESS_TILE), 0.0);
+    wtile.out.resize(wtile.out.len().max(WITNESS_TILE), 0.0);
+    // Filter members `..frontier` are past the lazy-accept frontier
+    // `2·d(q, x) <= d(q, v)`: each is accepted or has W(x) >= k.
+    let mut frontier = 0usize;
     let mut excluded = 0usize;
     let mut lazy_accepts = 0usize;
     let mut witness_pairs = 0u64;
@@ -550,89 +569,105 @@ where
         let v_point = index.point(v.id);
         // Witness pass against the filter set (lines 8–19). Every filter
         // member is one maintenance pair (`witness_pairs`, the (s choose 2)
-        // cost the paper bounds). Witness counts beyond k never influence a
-        // decision, so the pair's *distance* is only evaluated while at
-        // least one side is still undecided (`witness_dist_comps`) — the
-        // decisions (and hence results and Figure 7 proportions) are
-        // identical to the literal listing, at a fraction of the metric
-        // evaluations.
+        // cost the paper bounds), but witness counts beyond k never
+        // influence a decision, so a pair's distance is evaluated only while
+        // at least one side is undecided — x open (not accepted, W(x) < k)
+        // or w_v < k (`witness_dist_comps`) — and the pass visits only
+        // those pairs, in three parts:
         //
-        // While v itself still needs witnesses (w_v < k) every pair shares
-        // the uniform comparison radius d(q, v) — the farther of the two
-        // open radii, since the cursor yields x.dist <= v.dist — so whole
-        // blocks of the padded candidate tile stream through the SIMD
-        // `Metric::dist_tile` kernel at that bound. Once w_v reaches k,
-        // fully decided members are skipped and the remaining pairs fall
-        // back to per-row `dist_lt` at the member-specific radius x.dist.
-        // Both paths only *admit* distances into the exact comparisons
-        // below (a distance at or beyond the open radii decides every
-        // comparison negatively whether it arrives as a pruned evaluation
-        // or an admitted value that fails the comparisons), and admitted
-        // values are bit-identical across the tile and one-to-one kernels,
-        // so decisions, counters and results match the row-by-row listing
-        // exactly. Rows of a fetched block that post-crossing skipping
-        // would not have evaluated are simply not consumed (bounded
-        // overshoot of one block per query; they are not counted).
+        // 1. While w_v < k every pair is evaluated at the radius d(q, v)
+        //    (the farther of its two, as F is sorted by d(q, ·)), so members
+        //    stream in filter order through `Metric::dist_tile` at that
+        //    bound in blocks of 8, 16, then WITNESS_TILE rows, stopping at
+        //    the row where w_v reaches k (the crossing).
+        // 2. Past the crossing only open members can change: the ascending
+        //    `open` list holds exactly those, and each one past the
+        //    crossing gets `dist_lt` at its own radius d(q, x) (or the
+        //    value its row already has in the last fetched block).
+        // 3. Lazy accept (Assertion 2, line 16) once the search has passed
+        //    2·d(q, x): since F is sorted, that holds for a prefix of F
+        //    that only grows, so `frontier` advances over it and every open
+        //    member it has passed is accepted — after v's own witness
+        //    update, as in the listing.
+        //
+        // The list is compacted in the same sweep. Pruned evaluations only
+        // withhold distances at or beyond every open radius, which decide
+        // each comparison negatively anyway, and admitted values are
+        // bit-identical across the tile and one-to-one kernels, so
+        // decisions, counters and results match the row-by-row listing.
         let mut w_v = 0usize;
         if witnesses_enabled {
+            debug_assert!(
+                filter.last().is_none_or(|x| x.dist <= v.dist),
+                "cursor distances must be nondecreasing"
+            );
             witness_pairs += filter.len() as u64;
             let stride = tile.stride();
-            let mut vpad_ready = false;
+            let mut next = 0usize;
             let mut block = 0usize..0usize;
-            for i in 0..filter.len() {
-                let x_state = filter[i];
-                let x_active = !x_state.accepted && x_state.witnesses < k;
-                if x_active || w_v < k {
+            let mut rows = WITNESS_TILE / 4;
+            if !filter.is_empty() {
+                wtile.set_query(v_point);
+            }
+            while w_v < k && next < filter.len() {
+                let end = (next + rows).min(filter.len());
+                let m = end - next;
+                wtile.bounds[..m].fill(v.dist);
+                metric.dist_tile(
+                    &wtile.qpad,
+                    &tile.padded()[next * stride..end * stride],
+                    stride,
+                    tile.dim(),
+                    &wtile.bounds[..m],
+                    &mut wtile.out[..m],
+                );
+                block = next..end;
+                for (x, &d_vx) in filter[block.clone()].iter_mut().zip(&wtile.out[..m]) {
+                    next += 1;
                     witness_dist_comps += 1;
-                    let d_opt: Option<f64> = if block.contains(&i) {
-                        let d = wtile.out[i - block.start];
-                        (!d.is_nan()).then_some(d)
-                    } else if w_v < k {
-                        if !vpad_ready {
-                            wtile.set_query(v_point);
-                            vpad_ready = true;
-                        }
-                        let end = (i + WITNESS_TILE).min(filter.len());
-                        let m = end - i;
-                        if wtile.out.len() < m {
-                            wtile.out.resize(m, 0.0);
-                        }
-                        if wtile.bounds.len() < m {
-                            wtile.bounds.resize(m, 0.0);
-                        }
-                        wtile.bounds[..m].fill(v.dist);
-                        metric.dist_tile(
-                            &wtile.qpad,
-                            &tile.padded()[i * stride..end * stride],
-                            stride,
-                            tile.dim(),
-                            &wtile.bounds[..m],
-                            &mut wtile.out[..m],
-                        );
-                        block = i..end;
-                        let d = wtile.out[0];
-                        (!d.is_nan()).then_some(d)
-                    } else {
-                        metric.dist_lt(v_point, tile.row(i), x_state.dist)
-                    };
-                    if let Some(d_vx) = d_opt {
-                        let x = &mut filter[i];
-                        if x_active && d_vx < x.dist {
-                            x.witnesses += 1; // v is a witness of x.
-                        }
-                        if w_v < k && d_vx < v.dist {
-                            w_v += 1; // x is a witness of v.
+                    // A pruned row is NaN and fails both comparisons.
+                    if !x.accepted && x.witnesses < k && d_vx < x.dist {
+                        x.witnesses += 1; // v is a witness of x.
+                    }
+                    if d_vx < v.dist {
+                        w_v += 1; // x is a witness of v.
+                        if w_v == k {
+                            break;
                         }
                     }
                 }
-                // Lazy accept (Assertion 2, line 16): the search has passed
-                // 2·d(q,x), so x's witness census is complete.
+                rows = (2 * rows).min(WITNESS_TILE);
+            }
+            while frontier < filter.len() && v.dist >= 2.0 * filter[frontier].dist {
+                frontier += 1;
+            }
+            open.retain(|&i| {
+                let i = i as usize;
                 let x = &mut filter[i];
-                if !x.accepted && x.witnesses < k && v.dist >= 2.0 * x.dist {
+                if x.accepted || x.witnesses >= k {
+                    return false;
+                }
+                if i >= next {
+                    witness_dist_comps += 1;
+                    let witnessed = if block.contains(&i) {
+                        wtile.out[i - block.start] < x.dist
+                    } else {
+                        metric.dist_lt(v_point, tile.row(i), x.dist).is_some()
+                    };
+                    if witnessed {
+                        x.witnesses += 1; // v is a witness of x.
+                        if x.witnesses >= k {
+                            return false;
+                        }
+                    }
+                }
+                if i < frontier {
                     x.accepted = true;
                     lazy_accepts += 1;
+                    return false;
                 }
-            }
+                true
+            });
         }
         // RDT+ candidate-set reduction (§4.3): drop v if its first witness
         // pass already disqualified it. (The first k retrieved points can
@@ -641,6 +676,9 @@ where
         if plus && w_v >= k {
             excluded += 1;
         } else {
+            if witnesses_enabled && w_v < k {
+                open.push(u32::try_from(filter.len()).expect("filter index fits u32"));
+            }
             filter.push(FilterCandidate {
                 id: v.id,
                 dist: v.dist,
@@ -862,7 +900,8 @@ mod tests {
 
     #[test]
     fn erratum_swapped_witness_lines_would_break_assertion_one() {
-        // DESIGN.md §2: the published listing credits the witness to the
+        // The erratum in the module docs: the published listing credits the
+        // witness to the
         // wrong counter. Simulate both readings over a real retrieval
         // sequence and compare against ground-truth censuses: the corrected
         // reading reproduces them; the literal listing does not, so lazy

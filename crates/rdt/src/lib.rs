@@ -7,7 +7,7 @@
 //! acceptance (Assertion 2) and lazy rejection (Assertion 1) of candidates.
 //!
 //! * [`rdt::Rdt`] — Algorithm 1 verbatim (modulo the documented witness-line
-//!   erratum, see `DESIGN.md` §2);
+//!   erratum, see the [`engine`] module docs);
 //! * [`rdt_plus::RdtPlus`] — the candidate-set–reduction variant of §4.3;
 //! * [`params`] — the scale parameter `t` and its automatic selection via
 //!   the estimators of §6;

@@ -11,7 +11,7 @@
 //!   `d_{k+1}(q) / ((s/k)^{1/t} − 1)`;
 //! * [`exactness_threshold`] — the MaxGED value above which Theorem 1
 //!   promises an exact result. Because this workspace uses self-excluding
-//!   ranks (`DESIGN.md` §2) while the paper's ball cardinalities include the
+//!   ranks (README `## Conventions`) while the paper's ball cardinalities include the
 //!   center, thresholds can differ by one rank unit; callers wanting a hard
 //!   guarantee should add a small safety margin (the integration tests use
 //!   `+0.5`).

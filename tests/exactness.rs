@@ -58,7 +58,7 @@ fn all_exact_methods_agree_with_brute_force() {
 #[test]
 fn theorem1_exactness_above_maxged() {
     // With t above MaxGED(S, k) (+0.5 safety margin for the rank-convention
-    // offset documented in DESIGN.md §2), RDT returns exact answers.
+    // offset documented in `rknn_rdt::theory`), RDT returns exact answers.
     let ds = dataset(250, 202);
     let forward = CoverTree::build(ds.clone(), Euclidean);
     let bf = BruteForce::new(ds.clone(), Euclidean);
